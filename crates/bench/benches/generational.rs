@@ -2,7 +2,7 @@
 //! generations — the machinery behind Figure 6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mlperf_mobile::harness::{run_benchmark, RunRules};
+use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 use mlperf_mobile::sut_impl::DatasetScale;
 use mlperf_mobile::task::{suite, SuiteVersion};
 use mobile_backend::registry::{create, vendor_backend};
@@ -26,7 +26,7 @@ fn bench_generational(c: &mut Criterion) {
                     &def,
                     &RunRules::smoke_test(),
                     DatasetScale::Reduced(128),
-                    false,
+                    ScenarioMix::offline_only(false),
                 )
                 .unwrap();
                 black_box(score.latency_ms())

@@ -11,9 +11,9 @@
 //! byte-identity tests below assert every report's output matches them
 //! exactly, and `bench_ablations` measures the speedup against them.
 
-use crate::{cache, worker_threads};
+use crate::{cache, trace_sink, worker_threads};
 use mlperf_mobile::ai_tax::host_stage_time;
-use mlperf_mobile::harness::RunRules;
+use mlperf_mobile::harness::{run_benchmark_planned, RunRules, ScenarioMix};
 use mlperf_mobile::metrics::metrics;
 use mlperf_mobile::report::render_table;
 use mlperf_mobile::runner::par_map;
@@ -353,14 +353,15 @@ pub fn power_report() -> String {
             let backend =
                 mlperf_mobile::app::submission_backend(*chip, SuiteVersion::V1_0, def.task);
             let planned = cache().planned(*chip, backend, def.model).ok()?;
-            let score = crate::run_scored_planned(
+            let score = run_benchmark_planned(
                 *chip,
                 cache().soc(*chip),
                 planned,
                 def,
                 &RunRules::smoke_test(),
                 DatasetScale::Reduced(48),
-                false,
+                ScenarioMix::offline_only(false),
+                trace_sink(),
             );
             Some(vec![
                 chip.to_string(),
@@ -382,23 +383,25 @@ pub fn power_report() -> String {
     let planned = cache()
         .planned(ChipId::Snapdragon888, BackendId::Snpe, def.model)
         .expect("SNPE compiles classification");
-    let full = crate::run_scored_planned(
+    let full = run_benchmark_planned(
         ChipId::Snapdragon888,
         soc.clone(),
         planned.clone(),
         &def,
         &RunRules::smoke_test(),
         DatasetScale::Reduced(48),
-        false,
+        ScenarioMix::offline_only(false),
+        trace_sink(),
     );
-    let low = crate::run_scored_planned(
+    let low = run_benchmark_planned(
         ChipId::Snapdragon888,
         soc,
         planned,
         &def,
         &low_rules,
         DatasetScale::Reduced(48),
-        false,
+        ScenarioMix::offline_only(false),
+        trace_sink(),
     );
     format!(
         "Power / energy (Appendix E extension; most chipsets cap at ~3 W TDP)\n{}\nbattery hazard: classification p90 on a full charge {:.2} ms vs {:.2} ms at 15% charge (power-saving mode entered: {}) — why the rules recommend a full charge\n",
@@ -467,8 +470,11 @@ pub mod serial {
     use super::{
         cache, host_stage_time, partition, render_table, retype, suite, vendor_backend, Backend,
         BackendId, ChipId, DataType, DatasetScale, Enn, EngineKind, FallbackPolicy, ModelId,
-        PartitionPlan, RunRules, SuiteVersion, Target,
+        PartitionPlan, RunRules, ScenarioMix, SuiteVersion, Target,
     };
+    use crate::trace_sink;
+    use mlperf_mobile::harness::run_benchmark_planned;
+    use mlperf_mobile::sut_impl::PlannedDeployment;
     use soc_sim::executor::{estimate_query_secs, run_offline};
 
     /// Serial [`super::ablation_sync_overhead`]: partitions and lowers per
@@ -687,14 +693,17 @@ pub mod serial {
                 let Ok(dep) = cache().deployment(chip, backend, def.model) else {
                     continue;
                 };
-                let score = crate::run_scored(
+                let soc = cache().soc(chip);
+                let planned = PlannedDeployment::compile(&soc, dep);
+                let score = run_benchmark_planned(
                     chip,
-                    cache().soc(chip),
-                    dep,
+                    soc,
+                    planned,
                     &def,
                     &RunRules::smoke_test(),
                     DatasetScale::Reduced(48),
-                    false,
+                    ScenarioMix::offline_only(false),
+                    trace_sink(),
                 );
                 rows.push(vec![
                     chip.to_string(),
@@ -713,23 +722,25 @@ pub mod serial {
         let dep = cache()
             .deployment(ChipId::Snapdragon888, BackendId::Snpe, def.model)
             .expect("SNPE compiles classification");
-        let full = crate::run_scored(
+        let full = run_benchmark_planned(
             ChipId::Snapdragon888,
             soc.clone(),
-            dep.clone(),
+            PlannedDeployment::compile(&soc, dep.clone()),
             &def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(48),
-            false,
+            ScenarioMix::offline_only(false),
+            trace_sink(),
         );
-        let low = crate::run_scored(
+        let low = run_benchmark_planned(
             ChipId::Snapdragon888,
-            soc,
-            dep,
+            soc.clone(),
+            PlannedDeployment::compile(&soc, dep),
             &def,
             &low_rules,
             DatasetScale::Reduced(48),
-            false,
+            ScenarioMix::offline_only(false),
+            trace_sink(),
         );
         format!(
             "Power / energy (Appendix E extension; most chipsets cap at ~3 W TDP)\n{}\nbattery hazard: classification p90 on a full charge {:.2} ms vs {:.2} ms at 15% charge (power-saving mode entered: {}) — why the rules recommend a full charge\n",

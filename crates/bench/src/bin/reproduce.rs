@@ -144,7 +144,7 @@ fn run_artifact(name: &str, f: fn() -> String, out: Option<(&Path, bool)>) -> (S
             metrics: metrics().snapshot().since(&before),
             spec_timings: metrics().take_spec_timings(),
             pool: obs::pool::pool().snapshot().since(&pool_before),
-            runs: mlperf_bench::trace_sink().drain(),
+            runs: mlperf_bench::trace_sink().map(|sink| sink.drain()).unwrap_or_default(),
         };
         let path = dir.join(format!("{name}.json"));
         match std::fs::write(&path, artifact.to_json() + "\n") {
@@ -350,7 +350,7 @@ fn main() {
             eprintln!("could not create trace directory {}: {e}", dir.display());
             std::process::exit(1);
         }
-        mlperf_bench::set_tracing(true);
+        mlperf_bench::enable_tracing();
     }
     if let Some(dir) = &self_profile_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {

@@ -53,7 +53,8 @@ fn usage() -> &'static str {
      --offline    also run the offline scenario for classification\n\
      --scenarios  also run the server and multi-stream searches for\n\
      \u{20}             classification (the full four-scenario matrix)\n\
-     --ambient    room temperature; the rules require 20-25 degC\n\
+     --ambient    room temperature in [-40, 85] degC; the rules require\n\
+     \u{20}             20-25 degC\n\
      --battery    initial state of charge (default 1.0 = full, per rules)\n\
      --fleet      instead of one lab run, sweep a simulated field\n\
      \u{20}             population of <n> devices across the whole catalog\n\
@@ -142,9 +143,11 @@ fn main() -> ExitCode {
             "--ambient" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(t) => rules.ambient_c = t,
-                    None => {
-                        eprintln!("--ambient takes a temperature in degC");
+                    // Finite and physical: the thermal model is only
+                    // meaningful for rooms a phone can operate in.
+                    Some(t) if (-40.0..=85.0).contains(&t) => rules.ambient_c = t,
+                    _ => {
+                        eprintln!("--ambient takes a temperature in degC within [-40, 85]");
                         return ExitCode::from(2);
                     }
                 }

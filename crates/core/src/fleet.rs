@@ -796,6 +796,71 @@ mod tests {
     }
 
     #[test]
+    fn wave_lanes_match_scalar_replays() {
+        // One K=4 wave on the MobileNetEdgeTPU / Neuron / Dimensity 1100
+        // golden cell. Lanes 1 and 2 are the same unit, so they share a
+        // walk every step; the others differ in ambient, envelope, speed
+        // bin, battery and background load, so they never do. Every lane
+        // must score exactly what a scalar replay of its unit through
+        // its own re-lowered plan scores.
+        let chip = ChipId::Dimensity1100;
+        let cache = CompileCache::new();
+        let target = CellTarget {
+            chip,
+            backend: BackendId::Neuron,
+            model: ModelId::MobileNetEdgeTpu,
+            soc: cache.soc(chip),
+            sweep: cache.sweep_plan(chip, BackendId::Neuron, ModelId::MobileNetEdgeTpu).unwrap(),
+        };
+        let unit = |ambient_c: f64, envelope_scale: f64, extra_query_overhead_us: f64| DeviceUnit {
+            speed_scale: 1.0,
+            envelope_scale,
+            ambient_c,
+            battery: None,
+            extra_query_overhead_us,
+        };
+        let mut cool_on_battery = unit(18.0, 1.0, 0.0);
+        cool_on_battery.battery = Some((0.8, 0.1));
+        let mut hot = unit(45.0, 4.0, 250.0);
+        hot.speed_scale = 0.95;
+        let wave = [cool_on_battery, unit(22.0, 1.0, 40.0), unit(22.0, 1.0, 40.0), hot];
+        let queries = 300;
+        let mut scratch = WaveScratch::new(wave.len());
+        let (mut lane_queries, mut lanes_deduped) = (0, 0);
+        run_wave(&target, &wave, queries, &mut scratch, &mut lane_queries, &mut lanes_deduped);
+
+        assert_eq!(lane_queries, 4 * u64::from(queries));
+        assert!(lanes_deduped >= u64::from(queries), "the twin lanes share a walk");
+        assert!(lanes_deduped < 3 * u64::from(queries), "distinct lanes must not all dedup");
+        assert!(scratch.scores.iter().any(|s| s.throttle_ns.is_some()), "one lane throttles");
+        assert!(scratch.scores.iter().any(|s| s.throttle_ns.is_none()), "one lane never does");
+        let base = target.sweep.query_overhead_us();
+        for (lane, unit) in wave.iter().enumerate() {
+            let plan = target
+                .sweep
+                .relower_query(PlanDelta::QueryOverheadUs(base + unit.extra_query_overhead_us));
+            let mut state = unit.state(&target.soc);
+            let top = state.dvfs.factors()[0].to_bits();
+            let (mut elapsed_ns, mut throttle_ns, mut last) = (0, None, None);
+            for _ in 0..queries {
+                let r = plan.execute(&mut state);
+                if throttle_ns.is_none() && r.freq_factor.to_bits() != top {
+                    throttle_ns = Some(elapsed_ns);
+                }
+                elapsed_ns += r.latency.as_nanos();
+                last = Some(r);
+            }
+            let last = last.expect("at least one query");
+            let scalar = UnitScore {
+                latency_ns: last.latency.as_nanos(),
+                energy_uj: (last.total_joules * 1e6).round() as u64,
+                throttle_ns,
+            };
+            assert_eq!(scratch.scores[lane], scalar, "lane {lane} diverged from its scalar replay");
+        }
+    }
+
+    #[test]
     fn fleet_report_renders_cells_and_tail() {
         let cache = CompileCache::new();
         let config = small_config(200, 4);

@@ -2,7 +2,7 @@
 //! the run rules — accuracy mode first, then performance mode, with
 //! cooldown intervals — and scores it.
 
-use crate::metrics::metrics;
+use crate::metrics::{metrics, TraceCollector};
 use crate::sut_impl::{
     DatasetScale, DeviceSut, PerfDeviceSut, PlannedDeployment, Prediction, TaskData,
 };
@@ -16,7 +16,7 @@ use loadgen::run::{
 };
 use loadgen::scenario::TestSettings;
 use loadgen::trace::RunTrace;
-use mobile_backend::backend::{Backend, BackendId, CompileError, Deployment};
+use mobile_backend::backend::{Backend, BackendId, CompileError};
 
 use serde::{Deserialize, Serialize};
 use soc_sim::battery::{BatterySpec, BatteryState};
@@ -332,8 +332,9 @@ impl RunEnergy {
 /// span timeline (with per-query SoC telemetry) plus the offline burst
 /// when that scenario ran.
 ///
-/// Produced by [`run_benchmark_with_trace`]; purely observational — a
-/// traced run scores bit-identically to an untraced one.
+/// Produced by [`run_benchmark_planned`] when given a trace sink; purely
+/// observational — a traced run scores bit-identically to an untraced
+/// one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkTrace {
     /// Platform the run executed on.
@@ -485,14 +486,15 @@ pub fn score_accuracy(data: &TaskData, predictions: &[(usize, Prediction)]) -> f
 }
 
 /// Runs one benchmark end-to-end: compile, accuracy mode, cooldown,
-/// single-stream performance, optional offline — per the test-control
-/// order of paper Section 6.1 ("the model runs on the validation set to
-/// calculate the accuracy; performance mode follows").
+/// single-stream performance, then whichever of offline, server and
+/// multi-stream `mix` selects — per the test-control order of paper
+/// Section 6.1 ("the model runs on the validation set to calculate the
+/// accuracy; performance mode follows").
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use mlperf_mobile::harness::{run_benchmark, RunRules};
+/// use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 /// use mlperf_mobile::sut_impl::DatasetScale;
 /// use mlperf_mobile::task::{suite, SuiteVersion};
 /// use mobile_backend::backends::Snpe;
@@ -505,7 +507,7 @@ pub fn score_accuracy(data: &TaskData, predictions: &[(usize, Prediction)]) -> f
 ///     def,
 ///     &RunRules::default(),
 ///     DatasetScale::Full,
-///     true,
+///     ScenarioMix::offline_only(true),
 /// )?;
 /// println!("p90 {:.2} ms, accuracy {:.4}", score.latency_ms(), score.accuracy);
 /// # Ok::<(), mobile_backend::backend::CompileError>(())
@@ -520,65 +522,32 @@ pub fn run_benchmark(
     def: &BenchmarkDef,
     rules: &RunRules,
     scale: DatasetScale,
-    with_offline: bool,
-) -> Result<BenchmarkScore, CompileError> {
-    run_benchmark_scenarios(chip, backend, def, rules, scale, ScenarioMix::offline_only(with_offline))
-}
-
-/// [`run_benchmark`] with an explicit scenario mix: any combination of
-/// offline, server, and multi-stream after the mandatory single-stream
-/// leg.
-///
-/// # Errors
-///
-/// Propagates backend compilation failures.
-pub fn run_benchmark_scenarios(
-    chip: ChipId,
-    backend: &dyn Backend,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
     mix: ScenarioMix,
 ) -> Result<BenchmarkScore, CompileError> {
     let soc = Arc::new(chip.build());
     let deployment = Arc::new(backend.compile(&def.model.build(), &soc)?);
     let planned = PlannedDeployment::compile(&soc, deployment);
-    Ok(run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0)
+    Ok(run_benchmark_planned(chip, soc, planned, def, rules, scale, mix, None))
 }
 
-/// Runs one benchmark on an already-compiled deployment.
+/// Runs one benchmark on an already-planned deployment: [`run_benchmark`]
+/// minus the compile and plan-lowering steps, which the suite runner's
+/// caches did once per `(chip, backend, model)` triple. Callers holding a
+/// bare `Deployment` lower it with [`PlannedDeployment::compile`] first.
 ///
-/// This is [`run_benchmark`] minus the compile step: the suite runner's
-/// compilation cache hands the same `Arc<Deployment>` to every run of a
-/// `(chip, backend, model)` triple, so compilation happens once per triple
-/// instead of once per run. All mutable state (thermal, energy, battery)
-/// is created fresh inside this function and the simulated inference is
-/// seeded from `rules.settings.seed`, so a run over a cached deployment is
-/// bit-identical to one over a freshly compiled deployment.
-#[must_use]
-pub fn run_benchmark_with(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    deployment: Arc<Deployment>,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> BenchmarkScore {
-    let planned = PlannedDeployment::compile(&soc, deployment);
-    let mix = ScenarioMix::offline_only(with_offline);
-    run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0
-}
-
-/// Runs one benchmark on an already-planned deployment — the fastest
-/// path: compilation *and* query-plan lowering both happened earlier (the
-/// suite runner's caches), so this function goes straight to execution.
-///
-/// Planning is invisible in results: scores are bit-identical to
-/// [`run_benchmark_with`] and [`run_benchmark`] for the same inputs
-/// (`tests/parallel_determinism.rs` proves planned == unplanned ==
+/// All mutable state (thermal, energy, battery) is created fresh inside
+/// this function and the simulated inference is seeded from
+/// `rules.settings.seed`, so planning and caching are invisible in
+/// results: scores are bit-identical to [`run_benchmark`] for the same
+/// inputs (`tests/parallel_determinism.rs` proves cached == fresh ==
 /// serial).
+///
+/// When `trace` is given, the run also records a per-query
+/// [`BenchmarkTrace`] (one [`RunTrace`] per scenario that ran) and pushes
+/// it into that sink. Tracing is purely observational: a traced run
+/// scores bit-identically to an untraced one.
 #[must_use]
+#[allow(clippy::too_many_arguments)]
 pub fn run_benchmark_planned(
     chip: ChipId,
     soc: Arc<Soc>,
@@ -586,29 +555,21 @@ pub fn run_benchmark_planned(
     def: &BenchmarkDef,
     rules: &RunRules,
     scale: DatasetScale,
-    with_offline: bool,
-) -> BenchmarkScore {
-    let mix = ScenarioMix::offline_only(with_offline);
-    run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0
-}
-
-/// [`run_benchmark_planned`] with an explicit scenario mix.
-#[must_use]
-pub fn run_benchmark_planned_scenarios(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
     mix: ScenarioMix,
+    trace: Option<&TraceCollector>,
 ) -> BenchmarkScore {
-    run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0
+    let (score, run_trace) =
+        run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, trace.is_some());
+    if let (Some(sink), Some(run_trace)) = (trace, run_trace) {
+        sink.push(run_trace);
+    }
+    score
 }
 
-/// [`run_benchmark_planned_scenarios`] with per-query tracing enabled,
-/// returning the score together with the run trace (which carries one
-/// [`RunTrace`] per scenario that ran).
+/// [`run_benchmark_planned`] with a trace, returned to the caller instead
+/// of pushed into a sink: a shim kept by name for callers that want one
+/// cell's trace in hand, the golden suite and the benchmark under
+/// `perfbench/`.
 #[must_use]
 pub fn run_benchmark_planned_scenarios_with_trace(
     chip: ChipId,
@@ -621,74 +582,6 @@ pub fn run_benchmark_planned_scenarios_with_trace(
 ) -> (BenchmarkScore, BenchmarkTrace) {
     let (score, trace) = run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, true);
     (score, trace.expect("traced run always yields a trace"))
-}
-
-/// [`run_benchmark_planned`] with per-query tracing enabled, returning
-/// the score together with the run trace.
-#[must_use]
-pub fn run_benchmark_planned_with_trace(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> (BenchmarkScore, BenchmarkTrace) {
-    let mix = ScenarioMix::offline_only(with_offline);
-    let (score, trace) = run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, true);
-    (score, trace.expect("traced run always yields a trace"))
-}
-
-/// Runs one benchmark on an already-compiled deployment with per-query
-/// tracing enabled, returning the score together with the run trace.
-///
-/// Tracing is purely observational: the returned score is bit-identical
-/// to what [`run_benchmark_with`] produces for the same inputs (the
-/// golden suite and the determinism tests both lock this down).
-#[must_use]
-pub fn run_benchmark_with_trace(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    deployment: Arc<Deployment>,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> (BenchmarkScore, BenchmarkTrace) {
-    let planned = PlannedDeployment::compile(&soc, deployment);
-    let mix = ScenarioMix::offline_only(with_offline);
-    let (score, trace) = run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, true);
-    (score, trace.expect("traced run always yields a trace"))
-}
-
-/// Runs the single-stream performance scenario over K lockstep device
-/// lanes of one deployment, returning one [`PerformanceResult`] per lane.
-///
-/// This is the batched counterpart of the single-stream leg of
-/// [`run_benchmark_planned`]: one pass over the compiled op arrays
-/// advances every in-flight lane per query step
-/// ([`soc_sim::plan_batch::BatchPlan`]), which is what makes fleet-scale
-/// population sweeps tractable. Lane `k`'s result and log are
-/// byte-identical to a scalar [`loadgen::run::run_single_stream`] over
-/// the equivalent [`DeviceSut`] (the `batch_smoke` golden test diffs the
-/// bytes). Records the `plan_batch_runs` / `plan_batch_lanes_executed`
-/// counters in the [`metrics`] registry.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or `logs` does not provide one log per
-/// lane.
-pub fn run_single_stream_lanes(
-    sut: &mut crate::sut_impl::BatchDeviceSut,
-    dataset_len: usize,
-    settings: &TestSettings,
-    logs: &mut [RunLog],
-) -> Vec<PerformanceResult> {
-    let before = sut.lanes_executed();
-    let results = loadgen::run::run_single_stream_batched(sut, dataset_len, settings, logs);
-    metrics().record_plan_batch_run(sut.lanes_executed() - before);
-    results
 }
 
 /// Accuracy-mode scores keyed by everything the prediction + scoring
@@ -733,7 +626,7 @@ fn cached_accuracy_score(
         return score;
     }
     metrics().record_sweep_miss();
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = crate::runner::default_threads();
     let acc = run_accuracy_parallel(sut, dataset_len, &rules.settings, log, threads);
     let score = score_accuracy(&sut.data, &acc.predictions);
     cache.lock().unwrap().insert(key, score);
@@ -992,7 +885,7 @@ mod tests {
             def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(256),
-            true,
+            ScenarioMix::offline_only(true),
         )
         .unwrap();
         assert!(score.accuracy_passed, "accuracy {} vs target {}", score.accuracy, score.quality_target);
@@ -1012,7 +905,7 @@ mod tests {
             def,
             &rules,
             DatasetScale::Reduced(64),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .unwrap();
         assert!(!score.ambient_compliant);
@@ -1090,7 +983,7 @@ mod tests {
             def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(64),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .unwrap();
         let violations = check_log(&score.log, &rules.settings);

@@ -13,7 +13,7 @@
 //!   selection (Table 2),
 //! - [`runner`]: the parallel suite runner with compilation caching
 //!   (bit-identical to the serial app, many times faster on a sweep),
-//! - [`metrics`]: the process-wide metrics registry and the trace
+//! - [`metrics`](mod@metrics): the process-wide metrics registry and the trace
 //!   collector behind `SuiteRunner::with_trace`,
 //! - [`profile`]: trace analysis & export — Perfetto timelines, engine
 //!   occupancy and energy attribution, Prometheus exposition,
@@ -26,7 +26,7 @@
 //! - [`tuning`]: the heuristic-vs-optimal scheduling-gap artifact —
 //!   the schedule auto-tuner run over the benchmark matrix, quantifying
 //!   what vendor placement heuristics leave on the table,
-//! - [`audit`]: submission validation and independent reproduction
+//! - [`audit`](mod@audit): submission validation and independent reproduction
 //!   (Section 6.2),
 //! - [`related`]: the Table 4 comparison matrix,
 //! - [`report`]: plain-text result rendering.
@@ -79,8 +79,7 @@ pub use fleet::{
 pub use submission::{Date, SubmissionEntry, SubmissionRegistry};
 pub use audit::{audit, AuditFinding, AuditReport, SubmissionPackage};
 pub use harness::{
-    run_benchmark, run_benchmark_with, run_benchmark_with_trace, run_single_stream_lanes,
-    BenchmarkScore, BenchmarkTrace, RunRules,
+    run_benchmark, run_benchmark_planned, BenchmarkScore, BenchmarkTrace, RunRules, ScenarioMix,
 };
 pub use harness::{EngineActivity, RunEnergy};
 pub use metrics::{metrics, MetricsRegistry, MetricsSnapshot, SpecTiming, TraceCollector};
@@ -89,6 +88,6 @@ pub use profile::{
     benchmark_perfetto_json, profile_report, prometheus_exposition, ArtifactTrace, CellProfile,
 };
 pub use runner::{par_map, CompileCache, RunSpec, SuiteRunner};
-pub use sut_impl::{BatchDeviceSut, DatasetScale, DeviceSut, Prediction, TaskData};
+pub use sut_impl::{DatasetScale, DeviceSut, Prediction, TaskData};
 pub use task::{suite, BenchmarkDef, SuiteVersion, Task};
 pub use tuning::{render_tuning_report, run_tuning, tuning_report_text, TuningConfig, TuningReport};

@@ -70,20 +70,6 @@ pub fn prometheus_exposition(snap: &MetricsSnapshot, timings: &[SpecTiming]) -> 
     );
     sample(
         &mut out,
-        "mlperf_plan_batch_runs_total",
-        "Batched single-stream runs completed through the lockstep plan executor.",
-        "counter",
-        snap.plan_batch_runs,
-    );
-    sample(
-        &mut out,
-        "mlperf_plan_batch_lanes_executed_total",
-        "Lane-queries executed by the batched plan executor.",
-        "counter",
-        snap.plan_batch_lanes_executed,
-    );
-    sample(
-        &mut out,
         "mlperf_fleet_devices_simulated_total",
         "Fleet devices fully simulated by the fleet executor.",
         "counter",
@@ -272,8 +258,6 @@ mod tests {
             compile_misses: 1,
             plan_hits: 6,
             plan_misses: 2,
-            plan_batch_runs: 7,
-            plan_batch_lanes_executed: 512,
             fleet_devices_simulated: 4096,
             fleet_lanes_deduped: 300,
             sweep_hits: 9,
@@ -296,8 +280,6 @@ mod tests {
         assert!(text.contains("mlperf_spec_wall_ms{spec=\"a/cls\"} 1.5"));
         // Every sample line is preceded by HELP and TYPE headers.
         assert!(text.contains("mlperf_plan_cache_hits_total 6"));
-        assert!(text.contains("mlperf_plan_batch_runs_total 7"));
-        assert!(text.contains("mlperf_plan_batch_lanes_executed_total 512"));
         assert!(text.contains("mlperf_fleet_devices_simulated_total 4096"));
         assert!(text.contains("mlperf_fleet_lanes_deduped_total 300"));
         assert!(text.contains("mlperf_tuned_cache_hits_total 11"));
@@ -308,8 +290,6 @@ mod tests {
             "mlperf_compile_cache_misses_total",
             "mlperf_plan_cache_hits_total",
             "mlperf_plan_cache_misses_total",
-            "mlperf_plan_batch_runs_total",
-            "mlperf_plan_batch_lanes_executed_total",
             "mlperf_fleet_devices_simulated_total",
             "mlperf_fleet_lanes_deduped_total",
             "mlperf_sweep_cache_hits_total",

@@ -50,10 +50,10 @@ pub use run::{
     find_max_qps, find_max_streams, performance_sample_set, run_accuracy,
     run_accuracy_advance, run_accuracy_parallel, run_multi_stream,
     run_multi_stream_traced, run_offline_scenario, run_offline_scenario_traced,
-    run_server, run_server_traced, run_single_stream, run_single_stream_batched,
+    run_server, run_server_traced, run_single_stream,
     run_single_stream_traced, AccuracyResult, PerformanceResult, QpsSearch,
     StreamSearch,
 };
 pub use scenario::{Scenario, TestMode, TestSettings};
-pub use sut::{BatchSut, ConstantBatchSut, ConstantSut, SplitQuery, SystemUnderTest};
+pub use sut::{ConstantSut, SplitQuery, SystemUnderTest};
 pub use trace::{BurstSpan, QuerySpan, QueryTelemetry, RunTrace, StageTelemetry};

@@ -1,7 +1,7 @@
 //! The per-vendor transition-penalty table.
 //!
 //! Every backend pays two scheduling overheads when its compiled
-//! [`Schedule`](soc_sim::schedule::Schedule) crosses engines (paper
+//! [`Schedule`] crosses engines (paper
 //! Section 7.4 and Insights 2–5: the HAL hop is why NNAPI placements
 //! lose to direct vendor SDKs on the same silicon):
 //!
@@ -18,7 +18,7 @@
 //! This table is the *single source* for these constants: the backend
 //! plan builders in [`crate::backends`] read them when constructing
 //! [`PartitionPlan`](crate::partition::PartitionPlan)s, and the schedule
-//! auto-tuner ([`crate::tune`]) carries the same penalties into every
+//! auto-tuner ([`crate::tune`](mod@crate::tune)) carries the same penalties into every
 //! candidate schedule and its branch-and-bound lower bound — so tuned
 //! and heuristic schedules are always compared under identical framework
 //! costs.

@@ -2,7 +2,7 @@
 //! engine-assignment space.
 //!
 //! The vendor backends pick schedules with fixed per-vendor heuristics
-//! ([`crate::partition`]); the paper's Insights 2–5 attribute much of
+//! ([`crate::partition`](mod@crate::partition)); the paper's Insights 2–5 attribute much of
 //! the vendor spread to exactly these scheduling decisions. With the
 //! compiled-plan executor costing a candidate schedule in ~200 ns,
 //! guided search over the assignment space is affordable — this module

@@ -103,8 +103,7 @@ fn accumulate_op(op: &PlanOp, freq: &[f64], acc: &mut [f64]) {
 /// per-step scratch lanes, so a steady-state batch step allocates
 /// nothing.
 ///
-/// Built with [`BatchState::gather`], consumed lane-by-lane via
-/// [`BatchState::remove_lane`] or all at once via
+/// Built with [`BatchState::gather`] and consumed with
 /// [`BatchState::scatter`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchState {
@@ -226,56 +225,11 @@ impl BatchState {
         }
     }
 
-    /// Removes lane `lane` from the batch and returns its scalar state;
-    /// surviving lanes shift down one position. Used by the harness to
-    /// retire a device that met its run rules while the rest keep
-    /// stepping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn remove_lane(&mut self, lane: usize) -> SocState {
-        let state = SocState {
-            thermal: self.thermal.remove(lane),
-            energy: self.energy.remove(lane),
-            battery: self.battery.remove(lane),
-            dvfs: self.dvfs.remove(lane),
-        };
-        // Keep the step-scratch slices aligned with the surviving lanes
-        // so telemetry reads between a step and the next stay valid.
-        for scratch_len in [self.freq.len(), self.level.len()] {
-            debug_assert!(scratch_len == 0 || scratch_len > lane);
-        }
-        if lane < self.freq.len() {
-            self.freq.remove(lane);
-        }
-        if lane < self.level.len() {
-            self.level.remove(lane);
-        }
-        if lane < self.temp.len() {
-            self.temp.remove(lane);
-        }
-        if lane < self.latency.len() {
-            self.latency.remove(lane);
-        }
-        if lane < self.joules.len() {
-            self.joules.remove(lane);
-        }
-        state
-    }
-
     /// Dispatch-time frequency factors of the most recent step, per lane
     /// (empty before the first step).
     #[must_use]
     pub fn last_freq_factors(&self) -> &[f64] {
         &self.freq
-    }
-
-    /// Dispatch-time die temperatures (°C) of the most recent step, per
-    /// lane (empty before the first step).
-    #[must_use]
-    pub fn last_temperatures_c(&self) -> &[f64] {
-        &self.temp
     }
 
     /// Per-lane latencies of the most recent step (empty before the
@@ -421,20 +375,6 @@ impl BatchPlan {
             launch: self.launch[lane],
             sync: self.sync[lane],
         }
-    }
-
-    /// Removes lane `lane`; surviving lanes shift down one position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or if it is the last lane (an
-    /// empty batch cannot execute — drop the plan instead).
-    pub fn remove_lane(&mut self, lane: usize) {
-        assert!(self.lanes() > 1, "cannot remove the last lane");
-        self.transfer.remove(lane);
-        self.overhead.remove(lane);
-        self.launch.remove(lane);
-        self.sync.remove(lane);
     }
 
     /// Executes one query on every lane in lockstep, advancing all lane
@@ -749,34 +689,6 @@ mod tests {
                 assert_eq!(r.latency, *l);
             }
             assert_eq!(full.scatter(), fast.scatter());
-        }
-    }
-
-    #[test]
-    fn retired_lanes_leave_survivors_untouched() {
-        let plan = Arc::new(tiny_plan());
-        let k = 5;
-        let states = lane_states(k);
-        let mut bp = BatchPlan::broadcast(Arc::clone(&plan), k);
-        let mut batch = BatchState::gather(&states);
-        let mut scalar: Vec<SocState> = states.clone();
-        for _ in 0..40 {
-            let _ = bp.execute(&mut batch);
-            for state in scalar.iter_mut() {
-                let _ = plan.execute(state);
-            }
-        }
-        // Retire the middle lane; its final state matches its scalar twin.
-        let retired = batch.remove_lane(2);
-        bp.remove_lane(2);
-        assert_eq!(retired, scalar.remove(2));
-        // Survivors keep matching their scalar twins.
-        for _ in 0..40 {
-            let results = bp.execute(&mut batch);
-            for (i, state) in scalar.iter_mut().enumerate() {
-                let reference = plan.execute(state);
-                assert_results_bit_identical(&reference, &results[i]);
-            }
         }
     }
 

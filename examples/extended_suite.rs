@@ -7,7 +7,7 @@
 //! ```
 
 use mlperf_mobile::extensions::extended_suite;
-use mlperf_mobile::harness::{run_benchmark, RunRules};
+use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 use mlperf_mobile::report::score_line;
 use mlperf_mobile::submission::{Date, SubmissionEntry, SubmissionRegistry};
 use mlperf_mobile::sut_impl::DatasetScale;
@@ -30,7 +30,7 @@ fn main() {
             &def,
             &rules,
             DatasetScale::Reduced(256),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .expect("benchmark runs");
         println!("{}", score_line(&score));

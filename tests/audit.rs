@@ -3,7 +3,7 @@
 //! caught.
 
 use mlperf_mobile::audit::{audit, AuditFinding, SubmissionPackage};
-use mlperf_mobile::harness::{run_benchmark, RunRules};
+use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 use mlperf_mobile::sut_impl::DatasetScale;
 use mlperf_mobile::task::{suite, SuiteVersion, Task};
 use mobile_backend::registry::create;
@@ -18,7 +18,8 @@ fn build_submission(chip: ChipId, task: Task) -> (SubmissionPackage, RunRules, D
     let def = suite(version).into_iter().find(|d| d.task == task).unwrap();
     let backend_id = submission_backend(chip, version, task);
     let backend = create(backend_id);
-    let score = run_benchmark(chip, backend.as_ref(), &def, &rules, scale, false).unwrap();
+    let mix = ScenarioMix::offline_only(false);
+    let score = run_benchmark(chip, backend.as_ref(), &def, &rules, scale, mix).unwrap();
     let deployment = backend.compile(&def.model.build(), &chip.build()).unwrap();
     let package = SubmissionPackage {
         chip,
@@ -62,8 +63,8 @@ fn offline_throughput_verified() {
         .unwrap();
     let backend_id = submission_backend(ChipId::Exynos2100, version, Task::ImageClassification);
     let backend = create(backend_id);
-    let score = run_benchmark(ChipId::Exynos2100, backend.as_ref(), &def, &rules, scale, true)
-        .unwrap();
+    let mix = ScenarioMix::offline_only(true);
+    let score = run_benchmark(ChipId::Exynos2100, backend.as_ref(), &def, &rules, scale, mix).unwrap();
     let deployment = backend.compile(&def.model.build(), &ChipId::Exynos2100.build()).unwrap();
     let mut package = SubmissionPackage {
         chip: ChipId::Exynos2100,

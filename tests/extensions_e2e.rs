@@ -8,7 +8,7 @@ use loadgen::scenario::TestSettings;
 use loadgen::sut::SystemUnderTest;
 use mlperf_mobile::ai_tax::EndToEndSut;
 use mlperf_mobile::extensions::{extended_suite, extension_defs};
-use mlperf_mobile::harness::{run_benchmark, RunRules};
+use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 use mlperf_mobile::sut_impl::{DatasetScale, DeviceSut};
 use mlperf_mobile::task::{SuiteVersion, Task};
 use mobile_backend::registry::{create, vendor_backend};
@@ -27,7 +27,7 @@ fn extended_suite_passes_on_all_flagships() {
                 &def,
                 &RunRules::smoke_test(),
                 DatasetScale::Reduced(48),
-                false,
+                ScenarioMix::offline_only(false),
             )
             .unwrap_or_else(|e| panic!("{chip:?}/{:?}: {e}", def.task));
             assert!(
@@ -102,10 +102,9 @@ fn low_battery_visibly_degrades_benchmark_scores() {
     let mut low = RunRules::smoke_test();
     low.battery_soc = Some(0.12);
     let backend = create(vendor_backend(&ChipId::Snapdragon888.build()).unwrap());
-    let a = run_benchmark(ChipId::Snapdragon888, backend.as_ref(), &def, &full, DatasetScale::Reduced(48), false)
-        .unwrap();
-    let b = run_benchmark(ChipId::Snapdragon888, backend.as_ref(), &def, &low, DatasetScale::Reduced(48), false)
-        .unwrap();
+    let (scale, mix) = (DatasetScale::Reduced(48), ScenarioMix::offline_only(false));
+    let a = run_benchmark(ChipId::Snapdragon888, backend.as_ref(), &def, &full, scale, mix).unwrap();
+    let b = run_benchmark(ChipId::Snapdragon888, backend.as_ref(), &def, &low, scale, mix).unwrap();
     assert!(!a.power_saving_entered);
     assert!(b.power_saving_entered);
     assert!(

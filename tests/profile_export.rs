@@ -9,10 +9,10 @@
 //!    writes and `explain` reads) round-trips through JSON with its runs
 //!    intact and renders every report section.
 
-use mlperf_mobile::harness::{run_benchmark_with_trace, BenchmarkTrace, RunRules};
-use mlperf_mobile::metrics::MetricsSnapshot;
+use mlperf_mobile::harness::{run_benchmark_planned, BenchmarkTrace, RunRules, ScenarioMix};
+use mlperf_mobile::metrics::{MetricsSnapshot, TraceCollector};
 use mlperf_mobile::profile::{benchmark_perfetto_json, ArtifactTrace, CellProfile};
-use mlperf_mobile::sut_impl::DatasetScale;
+use mlperf_mobile::sut_impl::{DatasetScale, PlannedDeployment};
 use mlperf_mobile::task::{suite, SuiteVersion, Task};
 use mobile_backend::registry::create;
 use serde::Value;
@@ -26,16 +26,19 @@ fn traced_cell(chip: ChipId, task: Task, with_offline: bool) -> BenchmarkTrace {
     let soc = Arc::new(chip.build());
     let deployment =
         Arc::new(create(backend).compile(&def.model.build(), &soc).expect("compiles"));
-    let (_, trace) = run_benchmark_with_trace(
+    let planned = PlannedDeployment::compile(&soc, deployment);
+    let sink = TraceCollector::new();
+    let _ = run_benchmark_planned(
         chip,
         soc,
-        deployment,
+        planned,
         &def,
         &RunRules::smoke_test(),
         DatasetScale::Reduced(48),
-        with_offline,
+        ScenarioMix::offline_only(with_offline),
+        Some(&sink),
     );
-    trace
+    sink.drain().remove(0)
 }
 
 fn as_number(v: &Value) -> f64 {

@@ -7,7 +7,7 @@ use loadgen::log::RunLog;
 use loadgen::run::{performance_sample_set, run_single_stream};
 use loadgen::scenario::TestSettings;
 use loadgen::sut::SystemUnderTest;
-use mlperf_mobile::harness::{run_benchmark, RunRules};
+use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 use mlperf_mobile::sut_impl::{DatasetScale, DeviceSut};
 use mlperf_mobile::task::{suite, SuiteVersion, Task};
 use mobile_backend::backend::Backend;
@@ -125,7 +125,7 @@ fn benchmark_flow_runs_accuracy_before_performance() {
         &def,
         &RunRules::smoke_test(),
         DatasetScale::Reduced(64),
-        false,
+        ScenarioMix::offline_only(false),
     )
     .unwrap();
     assert!(score.accuracy > 0.0, "accuracy phase produced a score");
@@ -140,4 +140,23 @@ fn device_description_flows_into_log() {
     let _ = run_single_stream(&mut sut, 64, &TestSettings::smoke_test(), &mut log);
     let text = log.to_json_lines();
     assert!(text.contains("Dimensity 1100"), "{desc} should appear in the log");
+}
+
+#[test]
+fn app_rejects_unphysical_ambient() {
+    // Non-finite or out-of-range temperatures must be refused where they
+    // enter, not silently absorbed by the thermal model.
+    let app = env!("CARGO_BIN_EXE_mlperf_mobile_app");
+    for bad in ["nan", "inf", "-inf", "1e308", "-300", "85.5", "warm"] {
+        let out = std::process::Command::new(app).args(["--ambient", bad]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "--ambient {bad} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--ambient takes a temperature"), "--ambient {bad}: {stderr}");
+    }
+    // The bounds themselves are accepted (`--list` exits right after
+    // parsing, so no benchmark runs).
+    for ok in ["-40", "22", "85"] {
+        let out = std::process::Command::new(app).args(["--ambient", ok, "--list"]).output().unwrap();
+        assert!(out.status.success(), "--ambient {ok} must be accepted");
+    }
 }
