@@ -254,6 +254,7 @@ fn write_self_profile(dir: &Path, wall_ns: u64) {
         obs::span::Phase::Compile,
         obs::span::Phase::Calibrate,
         obs::span::Phase::Plan,
+        obs::span::Phase::Tune,
         obs::span::Phase::Execute,
         obs::span::Phase::SearchProbe,
         obs::span::Phase::Report,

@@ -585,18 +585,24 @@ pub fn run_benchmark_planned_scenarios_with_trace(
 }
 
 /// Accuracy-mode scores keyed by everything the prediction + scoring
-/// pipeline reads, shared process-wide across chips and backends.
-static ACCURACY_SCORES: OnceLock<Mutex<HashMap<String, f64>>> = OnceLock::new();
+/// pipeline reads, shared process-wide across chips and backends. Each
+/// key owns one cell that is filled once, so concurrent lookups of a key
+/// never score it twice.
+static ACCURACY_SCORES: OnceLock<Mutex<HashMap<String, Arc<OnceLock<f64>>>>> = OnceLock::new();
 
 /// Produces the accuracy score for this run, reusing a previously
 /// computed one when the whole prediction pipeline's input is identical.
+/// Returns the score and whether it was a hit.
 ///
 /// The returned score, the device-state evolution, and the log records
 /// are all byte-identical to [`loadgen::run::run_accuracy`] +
 /// [`score_accuracy`]: a hit
 /// replays only the stateful advance half ([`run_accuracy_advance`]), a
 /// miss synthesizes predictions across threads with order-preserving
-/// assembly ([`run_accuracy_parallel`]). Hits and misses feed the
+/// assembly ([`run_accuracy_parallel`]). Lookups are single-flight: the
+/// first caller of a key computes it, and callers that arrive meanwhile
+/// wait for that score and take the hit path, so a key misses exactly
+/// once however many workers race on it. Hits and misses feed the
 /// sweep-cache counters in the [`metrics`] registry.
 fn cached_accuracy_score(
     sut: &mut DeviceSut,
@@ -605,7 +611,7 @@ fn cached_accuracy_score(
     dataset_len: usize,
     rules: &RunRules,
     log: &mut RunLog,
-) -> f64 {
+) -> (f64, bool) {
     // The scale discriminator is part of the key even though the length
     // already is: super-resolution datasets change *resolution* (not just
     // length) between Full and Reduced, so equal lengths can still mean
@@ -618,19 +624,27 @@ fn cached_accuracy_score(
         rules.settings.seed,
         sut.target_quality.to_bits()
     );
-    let cache = ACCURACY_SCORES.get_or_init(|| Mutex::new(HashMap::new()));
-    let cached = cache.lock().unwrap().get(&key).copied();
-    if let Some(score) = cached {
+    let cell = Arc::clone(
+        ACCURACY_SCORES
+            .get_or_init(|| Mutex::new(HashMap::new()))
+            .lock()
+            .unwrap()
+            .entry(key)
+            .or_default(),
+    );
+    let mut computed = false;
+    let score = *cell.get_or_init(|| {
+        computed = true;
+        metrics().record_sweep_miss();
+        let threads = crate::runner::default_threads();
+        let acc = run_accuracy_parallel(sut, dataset_len, &rules.settings, log, threads);
+        score_accuracy(&sut.data, &acc.predictions)
+    });
+    if !computed {
         metrics().record_sweep_hit();
         let _ = run_accuracy_advance(sut, dataset_len, &rules.settings, log);
-        return score;
     }
-    metrics().record_sweep_miss();
-    let threads = crate::runner::default_threads();
-    let acc = run_accuracy_parallel(sut, dataset_len, &rules.settings, log, threads);
-    let score = score_accuracy(&sut.data, &acc.predictions);
-    cache.lock().unwrap().insert(key, score);
-    score
+    (score, !computed)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -676,7 +690,7 @@ fn run_benchmark_inner(
     let accuracy = {
         let _span =
             crate::obs::span::span(crate::obs::span::Phase::Calibrate, || cell_label.clone());
-        cached_accuracy_score(&mut sut, def, scale, dataset_len, rules, &mut accuracy_log)
+        cached_accuracy_score(&mut sut, def, scale, dataset_len, rules, &mut accuracy_log).0
     };
 
     // 2. Cooldown before the performance run.
@@ -892,6 +906,50 @@ mod tests {
         assert!(score.latency_ms() > 1.0 && score.latency_ms() < 10.0);
         assert!(score.offline.unwrap().throughput_fps > 100.0);
         assert!(score.joules_per_query > 0.0);
+    }
+
+    #[test]
+    fn racing_accuracy_lookups_score_a_key_once() {
+        const RACERS: usize = 4;
+        let def = &suite(SuiteVersion::V1_0)[0];
+        let mut rules = RunRules::smoke_test();
+        // A seed no other test uses keeps this key out of their way in
+        // the process-wide memo.
+        rules.settings.seed = 0x51_f1_9e_d0;
+        let scale = DatasetScale::Reduced(64);
+        let soc = Arc::new(ChipId::Dimensity1100.build());
+        let deployment = Arc::new(Neuron.compile(&def.model.build(), &soc).unwrap());
+        let planned = PlannedDeployment::compile(&soc, deployment);
+        let start = std::sync::Barrier::new(RACERS);
+        let runs: Vec<(f64, bool, RunLog)> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut sut = DeviceSut::with_plans(
+                            Arc::clone(&soc),
+                            planned.clone(),
+                            def,
+                            scale,
+                            rules.settings.seed,
+                            rules.ambient_c,
+                        );
+                        let len = sut.data.len();
+                        let mut log = RunLog::new();
+                        start.wait();
+                        let (score, hit) =
+                            cached_accuracy_score(&mut sut, def, scale, len, &rules, &mut log);
+                        (score, hit, log)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(runs.iter().filter(|(_, hit, _)| !hit).count(), 1, "exactly one miss");
+        assert_eq!(runs.iter().filter(|(_, hit, _)| *hit).count(), RACERS - 1);
+        for (score, _, log) in &runs {
+            assert_eq!(score.to_bits(), runs[0].0.to_bits(), "every racer gets one score");
+            assert_eq!(log, &runs[0].2, "hit and miss logs are identical");
+        }
     }
 
     #[test]

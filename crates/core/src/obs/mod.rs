@@ -10,7 +10,7 @@
 //! reproduces that separation one level up, for our own runner.
 //!
 //! - [`span`](mod@span): hierarchical wall-clock spans (suite → cell → compile /
-//!   calibrate / plan / execute / search-probe / report) in per-thread
+//!   calibrate / plan / tune / execute / search-probe / report) in per-thread
 //!   ring buffers, exported as a Perfetto timeline of the host run with
 //!   one track per pool worker (`reproduce --self-profile DIR`),
 //! - [`shard`]: per-thread sharded counters and mergeable latency

@@ -7,7 +7,7 @@
 //! harness logging from benchmark measurement. Recording is hierarchical:
 //! a [`Phase::Suite`] span per reproduce artifact, a [`Phase::Cell`] span
 //! per benchmark run, and leaf spans for the compile / calibrate / plan /
-//! execute / search-probe / report phases inside it.
+//! tune / execute / search-probe / report phases inside it.
 //!
 //! Spans land in per-thread ring buffers (one uncontended mutex per
 //! thread, registered once in a process-wide list), so recording never
@@ -42,6 +42,9 @@ pub enum Phase {
     Calibrate,
     /// Query-plan lowering of a compiled deployment.
     Plan,
+    /// Schedule auto-tuning of a compiled deployment (the search plus
+    /// the re-plan of its winner).
+    Tune,
     /// Performance execution (single-stream and offline legs).
     Execute,
     /// One scenario search (server QPS / multi-stream width bisection).
@@ -60,6 +63,7 @@ impl Phase {
             Phase::Compile => "compile",
             Phase::Calibrate => "calibrate",
             Phase::Plan => "plan",
+            Phase::Tune => "tune",
             Phase::Execute => "execute",
             Phase::SearchProbe => "search-probe",
             Phase::Report => "report",
@@ -366,6 +370,33 @@ mod tests {
             suite.start_ns + suite.dur_ns >= compile.start_ns + compile.dur_ns,
             "outer span must contain the inner one"
         );
+    }
+
+    #[test]
+    fn a_tuned_miss_records_a_tune_span_and_no_plan_span() {
+        use crate::runner::CompileCache;
+        use mobile_backend::backend::BackendId;
+        use mobile_backend::tune::TunerConfig;
+        use nn_graph::models::ModelId;
+        use soc_sim::catalog::ChipId;
+
+        let _guard = recording_lock().lock().unwrap();
+        // A triple no other test in this binary compiles or plans.
+        let (chip, backend, model) =
+            (ChipId::Exynos2100, BackendId::TfliteCpu, ModelId::MobileNetEdgeTpu);
+        set_enabled(true);
+        let _ = drain();
+        CompileCache::new().tuned(chip, backend, model, &TunerConfig::latency()).unwrap();
+        set_enabled(false);
+        let profile = drain();
+        // Other tests in this binary may record concurrently: look only
+        // at spans of this triple.
+        let triple = format!("{chip}/{backend}/{model:?}");
+        let of_triple =
+            |phase| profile.phase_spans(phase).filter(|s| s.label.contains(&triple)).count();
+        assert_eq!(of_triple(Phase::Tune), 1, "one tune span per tuned miss");
+        assert_eq!(of_triple(Phase::Plan), 0, "tuning must not file under plan");
+        assert_eq!(Phase::Tune.name(), "tune");
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl CompileCache {
         self.tuned_misses.fetch_add(1, Ordering::Relaxed);
         metrics().record_tuned_miss();
         let deployment = self.deployment(chip, backend, model)?;
-        let _span = crate::obs::span::span(crate::obs::span::Phase::Plan, || {
+        let _span = crate::obs::span::span(crate::obs::span::Phase::Tune, || {
             format!("tune/{chip}/{backend}/{model:?}")
         });
         let soc = self.soc(chip);

@@ -20,18 +20,25 @@
 //!
 //! The search is beam search with branch-and-bound pruning:
 //!
-//! 1. **Extend** every beam prefix by every supported target for the
-//!    next node ([`CostModel::extend`] keeps exact incremental cost).
-//! 2. **Prune** prefixes whose admissible lower bound (committed exact
-//!    cost + best-case roofline suffix, [`CostModel::bound_latency`] /
-//!    [`CostModel::bound_energy`]) cannot beat the incumbent, with a
+//! 1. **Peek** at every extension of every beam prefix by every
+//!    supported target for the next node: [`CostModel::peek_bound`]
+//!    returns the extension's admissible lower bound (committed exact
+//!    cost + best-case roofline suffix, bit-equal to
+//!    [`CostModel::bound_latency`] / [`CostModel::bound_energy`] of the
+//!    built extension) in O(fan-in), without copying the prefix.
+//! 2. **Prune** extensions whose bound cannot beat the incumbent, with a
 //!    `1 + 1e-9` relative slack covering floating-point fold-order
 //!    differences — so pruning never drops the optimum.
-//! 3. **Rank** survivors by bound and keep the best `beam_width`.
+//! 3. **Rank** survivors by bound (stable, so ties keep generation
+//!    order), keep the best `beam_width`, and only then materialize them
+//!    ([`CostModel::extend`]).
 //! 4. **Roll out** the best survivor to a greedy completion; fresh
 //!    completions (deduped by exact assignment signature) are
 //!    batch-evaluated up to K=8 per pass ([`CostModel::evaluate_batch`])
-//!    and tighten the incumbent early.
+//!    and tighten the incumbent early. Greedy completion is a pure
+//!    function of the prefix, so when the leader is a prefix of the
+//!    previous rollout its completion is that rollout again — already
+//!    scored, counted as a dedup hit and not recomputed.
 //!
 //! The incumbent is **seeded with the vendor heuristic**, so the tuner
 //! can only improve, never regress. With [`TunerConfig::exact`] (an
@@ -44,7 +51,9 @@ use nn_graph::{DataType, Graph};
 use serde::{Deserialize, Serialize};
 use soc_sim::executor::estimate_query_secs;
 use soc_sim::schedule::Schedule;
-use soc_sim::search::{active_energy_j, CostModel, SearchScore, SearchTarget, MAX_LANES};
+use soc_sim::search::{
+    active_energy_j, CostModel, PartialAssign, SearchScore, SearchTarget, MAX_LANES,
+};
 use soc_sim::soc::Soc;
 use std::collections::HashSet;
 use std::fmt;
@@ -279,57 +288,82 @@ pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig
     }
     let mut pending: Vec<Vec<u8>> = Vec::new();
 
-    let bound_of = |p: &soc_sim::search::PartialAssign| match objective {
+    let bound_of = |p: &PartialAssign| match objective {
         Objective::Latency => model.bound_latency(p),
         Objective::Energy => model.bound_energy(p),
     };
 
+    let energy_objective = objective == Objective::Energy;
     let mut beam = vec![model.root()];
+    // Every extension that survives pruning, as (bound, beam index,
+    // target): scored before any is built.
+    let mut scored: Vec<(f64, u32, u8)> = Vec::new();
+    // The last greedy completion; a leader that is one of its prefixes
+    // completes to it again.
+    let mut last_rollout: Option<Vec<u8>> = None;
     for level in 0..n {
-        let mut next: Vec<(f64, soc_sim::search::PartialAssign)> =
-            Vec::with_capacity(beam.len().saturating_mul(t).min(4096));
-        for p in &beam {
+        scored.clear();
+        for (pi, p) in beam.iter().enumerate() {
             for k in 0..t {
                 if !model.is_supported(level, k) {
                     continue;
                 }
-                let q = model.extend(p, k as u8);
-                let bound = bound_of(&q);
+                let bound = model.peek_bound(p, k as u8, energy_objective);
                 if bound > incumbent.obj * (1.0 + PRUNE_SLACK) {
                     stats.pruned += 1;
                     continue;
                 }
-                next.push((bound, q));
+                scored.push((bound, pi as u32, k as u8));
             }
         }
-        if next.is_empty() {
+        if scored.is_empty() {
             // Every extension was dominated: the incumbent stands.
             beam.clear();
             break;
         }
-        stats.expanded += next.len() as u64;
+        stats.expanded += scored.len() as u64;
         // Stable sort: bound ties keep deterministic generation order.
-        next.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("bounds are finite"));
-        if next.len() > config.beam_width {
-            stats.beam_truncations += (next.len() - config.beam_width) as u64;
-            next.truncate(config.beam_width);
+        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("bounds are finite"));
+        if scored.len() > config.beam_width {
+            stats.beam_truncations += (scored.len() - config.beam_width) as u64;
+            scored.truncate(config.beam_width);
         }
+        // Materialize only the survivors.
+        beam = scored
+            .iter()
+            .map(|&(bound, pi, k)| {
+                let q = model.extend(&beam[pi as usize], k);
+                debug_assert_eq!(
+                    bound_of(&q).to_bits(),
+                    bound.to_bits(),
+                    "peeked bound drifted from the built extension's"
+                );
+                q
+            })
+            .collect();
         if level + 1 < n {
             // Roll out the most promising survivor to a full candidate;
             // fresh completions queue for the K=8 batched evaluator and
-            // tighten the incumbent (= sharper pruning) early.
-            let rollout =
-                model.greedy_complete(&next[0].1, objective == Objective::Energy);
-            if seen.insert(rollout.assign.clone()) {
-                pending.push(rollout.assign);
-                if pending.len() >= MAX_LANES {
-                    flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
-                }
-            } else {
+            // tighten the incumbent (= sharper pruning) early. Greedy
+            // completion is a pure function of the prefix, so a leader
+            // that prefixes the last rollout completes to that same,
+            // already-seen assignment.
+            let leader = &beam[0].assign;
+            if last_rollout.as_ref().is_some_and(|r| r.starts_with(leader)) {
                 stats.dedup_hits += 1;
+            } else {
+                let rollout = model.greedy_complete(&beam[0], energy_objective).assign;
+                if seen.insert(rollout.clone()) {
+                    pending.push(rollout.clone());
+                    if pending.len() >= MAX_LANES {
+                        flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
+                    }
+                } else {
+                    stats.dedup_hits += 1;
+                }
+                last_rollout = Some(rollout);
             }
         }
-        beam = next.into_iter().map(|(_, p)| p).collect();
     }
     flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
     // Surviving final-level prefixes are complete candidates with exact
@@ -440,8 +474,9 @@ pub fn exhaustive_optimum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
+    use crate::backend::{Backend, BackendId};
     use crate::backends::Nnapi;
+    use crate::registry::create;
     use crate::DriverQuality;
     use nn_graph::builder::GraphBuilder;
     use nn_graph::graph::retype;
@@ -538,5 +573,34 @@ mod tests {
             active_energy_j(&soc, &graph, &outcome.schedule).to_bits(),
             outcome.tuned.energy_j.to_bits()
         );
+    }
+
+    /// The whole search trajectory — every [`TuneStats`] counter, not
+    /// just the candidates and prunes the gap-table golden locks — of
+    /// four real gap-table cells: Exynos 2100's ENN submission on
+    /// MobileBERT (798 nodes, multi-input attention blocks) and on
+    /// DeepLabV3+, under both objectives. Rollout reuse must count a
+    /// reused completion exactly as a recomputed, already-seen one.
+    #[test]
+    fn search_trajectory_is_pinned_on_real_cells() {
+        let soc = ChipId::Exynos2100.build();
+        let cells = [
+            (ModelId::MobileBert, Objective::Latency, [2, 7268, 181_506, 796, 131_267]),
+            (ModelId::MobileBert, Objective::Energy, [64, 0, 191_252, 797, 140_288]),
+            (ModelId::DeepLabV3Plus, Objective::Latency, [8, 6502, 12_078, 81, 7388]),
+            (ModelId::DeepLabV3Plus, Objective::Energy, [64, 9822, 5862, 82, 1830]),
+        ];
+        for (model, objective, [candidates, pruned, expanded, dedup_hits, beam_truncations]) in
+            cells
+        {
+            let dep = create(BackendId::Enn).compile(&model.build(), &soc).unwrap();
+            let config = TunerConfig { objective, ..TunerConfig::default() };
+            let outcome = tune(&soc, &dep.graph, &dep.schedule, &config);
+            assert_eq!(
+                outcome.stats,
+                TuneStats { candidates, pruned, expanded, dedup_hits, beam_truncations },
+                "{model:?} {objective}"
+            );
+        }
     }
 }

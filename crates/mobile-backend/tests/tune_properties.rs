@@ -5,7 +5,7 @@
 //! pruning must never drop the exhaustive optimum.
 
 use mobile_backend::partition::{partition, FallbackPolicy, PartitionPlan, Target};
-use mobile_backend::tune::{exhaustive_optimum, tune, Objective, TunerConfig};
+use mobile_backend::tune::{exhaustive_optimum, search_model, tune, Objective, TunerConfig};
 use nn_graph::builder::GraphBuilder;
 use nn_graph::graph::retype;
 use nn_graph::{Activation, DataType, Graph, Shape};
@@ -16,14 +16,18 @@ use soc_sim::search::active_energy_j;
 use soc_sim::soc::Soc;
 
 /// A small random CNN whose depth/width vary per seed (same shape family
-/// as the partitioner property suite).
-fn random_graph(blocks: usize, base_channels: usize, with_postproc: bool) -> Graph {
+/// as the partitioner property suite). With `residual`, each block ends
+/// in `add(block_in, p_i)`, a two-input node whose first input lies
+/// three nodes back — in a closed stage whenever the block switches
+/// targets.
+fn random_graph(blocks: usize, base_channels: usize, with_postproc: bool, residual: bool) -> Graph {
     let mut b = GraphBuilder::new("prop", Shape::nhwc(32, 32, 3), DataType::F32);
     let mut x = b.conv2d("stem", b.input_id(), 3, 2, base_channels, Activation::Relu6);
     for i in 0..blocks {
         let c = b.conv2d(&format!("c{i}"), x, 1, 1, base_channels * 2, Activation::Relu6);
         let d = b.depthwise_conv2d(&format!("d{i}"), c, 3, 1, Activation::Relu6);
-        x = b.conv2d(&format!("p{i}"), d, 1, 1, base_channels, Activation::None);
+        let p = b.conv2d(&format!("p{i}"), d, 1, 1, base_channels, Activation::None);
+        x = if residual { b.add(&format!("r{i}"), x, p) } else { p };
     }
     if with_postproc {
         let r = b.reshape("flat", x, Shape::new(&[1, 16 * 16 * base_channels]));
@@ -78,6 +82,7 @@ proptest! {
         blocks in 1usize..6,
         channels in 4usize..24,
         with_postproc: bool,
+        residual: bool,
         chip_idx in 0usize..8,
         policy_kind: u8,
         policy_param in 0usize..16,
@@ -86,7 +91,7 @@ proptest! {
         beam_exp in 0u32..7,
         energy_objective: bool,
     ) {
-        let graph = retype(&random_graph(blocks, channels, with_postproc), DataType::U8);
+        let graph = retype(&random_graph(blocks, channels, with_postproc, residual), DataType::U8);
         let soc = ChipId::ALL[chip_idx].build();
         let heuristic = heuristic_for(&graph, &soc, policy_kind, policy_param, sync_us, query_us);
         let config = TunerConfig {
@@ -147,7 +152,7 @@ proptest! {
     ) {
         // One block keeps the graph small enough (7 nodes) that the
         // oracle's full enumeration stays cheap on every catalog SoC.
-        let graph = retype(&random_graph(1, channels, false), DataType::U8);
+        let graph = retype(&random_graph(1, channels, false, false), DataType::U8);
         let soc = ChipId::ALL[chip_idx].build();
         let heuristic = heuristic_for(&graph, &soc, policy_kind, policy_param, sync_us, query_us);
         let objective = if energy_objective { Objective::Energy } else { Objective::Latency };
@@ -165,5 +170,54 @@ proptest! {
             "pruned search lost the optimum: got {got:e}, oracle {want:e}"
         );
         prop_assert!(oracle_schedule.validate(&graph).is_ok());
+    }
+
+    /// Peeking at an extension's bound is bit-equal to building the
+    /// extension and bounding it, for random prefixes of random
+    /// (optionally residual) graphs, every supported next target and
+    /// both objectives.
+    #[test]
+    fn peek_bound_is_bit_equal_to_bounding_the_extension(
+        blocks in 1usize..5,
+        channels in 4usize..24,
+        with_postproc: bool,
+        residual: bool,
+        chip_idx in 0usize..8,
+        policy_kind: u8,
+        policy_param in 0usize..16,
+        sync_us in 0.0f64..200.0,
+        query_us in 0.0f64..200.0,
+        prefix_seed: u64,
+        prefix_frac in 0.0f64..1.0,
+    ) {
+        let graph = retype(&random_graph(blocks, channels, with_postproc, residual), DataType::U8);
+        let soc = ChipId::ALL[chip_idx].build();
+        let heuristic = heuristic_for(&graph, &soc, policy_kind, policy_param, sync_us, query_us);
+        let model = search_model(&soc, &graph, &heuristic);
+        let t = model.targets().len();
+        let len = ((model.num_nodes() as f64 * prefix_frac) as usize).min(model.num_nodes() - 1);
+        let mut p = model.root();
+        let mut seed = prefix_seed | 1;
+        for i in 0..len {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let mut k = (seed % t as u64) as usize;
+            while !model.is_supported(i, k) {
+                k = (k + 1) % t;
+            }
+            model.extend_in_place(&mut p, k as u8);
+        }
+        for k in (0..t).filter(|&k| model.is_supported(len, k)) {
+            let q = model.extend(&p, k as u8);
+            prop_assert_eq!(
+                model.peek_bound(&p, k as u8, false).to_bits(),
+                model.bound_latency(&q).to_bits()
+            );
+            prop_assert_eq!(
+                model.peek_bound(&p, k as u8, true).to_bits(),
+                model.bound_energy(&q).to_bits()
+            );
+        }
     }
 }

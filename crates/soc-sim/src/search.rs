@@ -14,13 +14,22 @@
 //!   [`StreamPlan::sample_secs`]`(1.0, 1)` **bit-exactly** when the
 //!   prefix is completed ([`CostModel::finish`]). This is what makes a
 //!   branch-and-bound search sound at 0 ULPs: the incumbent and the
-//!   candidates are scored by the same arithmetic as the executor.
+//!   candidates are scored by the same arithmetic as the executor. Its
+//!   only per-node state is the assignment itself (one byte per node):
+//!   stages are contiguous runs of equal targets, so the open stage's
+//!   first node is all the stage bookkeeping a prefix needs.
 //! - [`CostModel::bound_latency`] / [`CostModel::bound_energy`] give an
 //!   admissible lower bound (committed exact cost + best-case roofline
 //!   suffix) used to prune partials that cannot beat the incumbent.
+//!   [`CostModel::peek_bound`] returns the same bound, bit for bit, for
+//!   a one-node extension without building it, at O(fan-in) cost — so
+//!   the search scores every extension and materializes only survivors.
 //! - [`CostModel::evaluate_batch`] scores up to [`MAX_LANES`] complete
 //!   assignments per pass, node-major over the lanes, with per-lane
 //!   arithmetic identical to the scalar path (bit-equal results).
+//!
+//! Extension, peeking and both evaluators fold through one private step
+//! function, so their bit-equality holds by construction.
 //! - [`active_energy_j`] is the canonical energy objective: the active
 //!   compute energy at nominal frequency — exactly the `power_time`
 //!   numerator accumulated by `StreamPlan::lower` for
@@ -71,28 +80,16 @@ pub struct SearchScore {
 /// [`CostModel::extend`]; the accumulators mirror the fold order of
 /// `StreamPlan::lower` so that completing the prefix reproduces the
 /// executor's score bit-for-bit.
+///
+/// Stages are contiguous runs of equal targets, so the assignment itself
+/// is the whole stage table: the open stage's target is the last entry,
+/// and a node lies in a closed stage exactly when it precedes
+/// the open stage's first node. Copying a prefix copies one byte per node.
 #[derive(Debug, Clone)]
 pub struct PartialAssign {
     /// Target index per assigned node, in node order.
     pub assign: Vec<u8>,
-    /// Stage index of each assigned node.
-    stage_of: Vec<u32>,
-    /// Target index of each stage opened so far (last = open stage).
-    stage_target: Vec<u8>,
-    /// Σ per-node roofline terms, in node order (the `ops` sum).
-    ops_sum: f64,
-    /// Σ transfer terms of *closed* stages, in stage order.
-    transfer: f64,
-    /// Query + launch + sync overheads committed so far.
-    overhead: f64,
-    /// Roofline time accumulated in the open stage.
-    stage_time: f64,
-    /// Active energy of closed stages.
-    energy: f64,
-    /// Cross-engine bytes flowing into the open stage.
-    open_bytes: u64,
-    /// Bitmask of engines already launched (by engine index).
-    launched: u64,
+    acc: Accum,
 }
 
 impl PartialAssign {
@@ -107,12 +104,29 @@ impl PartialAssign {
     pub fn is_empty(&self) -> bool {
         self.assign.is_empty()
     }
+}
 
-    /// Number of stages the prefix spans so far.
-    #[must_use]
-    pub fn num_stages(&self) -> usize {
-        self.stage_target.len()
-    }
+/// The scalar cost state of an assignment prefix. It is a pure function
+/// of the prefix, so [`CostModel::peek_bound`] can score an extension
+/// from a copy of it without building one.
+#[derive(Debug, Clone, Copy)]
+struct Accum {
+    /// Σ per-node roofline terms, in node order (the `ops` sum).
+    ops_sum: f64,
+    /// Σ transfer terms of *closed* stages, in stage order.
+    transfer: f64,
+    /// Query + launch + sync overheads committed so far.
+    overhead: f64,
+    /// Roofline time accumulated in the open stage.
+    stage_time: f64,
+    /// Active energy of closed stages.
+    energy: f64,
+    /// Cross-engine bytes flowing into the open stage.
+    open_bytes: u64,
+    /// Bitmask of engines already launched (by engine index).
+    launched: u64,
+    /// First node of the open stage.
+    open_start: u32,
 }
 
 /// Pre-computed per-(node, target) roofline terms for one
@@ -280,10 +294,11 @@ impl CostModel {
     /// The empty prefix: only the per-query overhead is committed.
     #[must_use]
     pub fn root(&self) -> PartialAssign {
-        PartialAssign {
-            assign: Vec::with_capacity(self.num_nodes),
-            stage_of: Vec::with_capacity(self.num_nodes),
-            stage_target: Vec::new(),
+        PartialAssign { assign: Vec::with_capacity(self.num_nodes), acc: self.root_accum() }
+    }
+
+    fn root_accum(&self) -> Accum {
+        Accum {
             ops_sum: 0.0,
             transfer: 0.0,
             overhead: self.query_secs,
@@ -291,6 +306,54 @@ impl CostModel {
             energy: 0.0,
             open_bytes: 0,
             launched: 0,
+            open_start: 0,
+        }
+    }
+
+    /// Advances `q`, the cost state of `prefix`, by assigning node
+    /// `prefix.len()` to target `k`. This is the one place the
+    /// incremental arithmetic lives: extension, peeking and both
+    /// evaluators all fold through it. Always inlined: the evaluators'
+    /// throughput depends on it.
+    #[inline(always)]
+    fn step(&self, q: &mut Accum, prefix: &[u8], k: u8) {
+        let i = prefix.len();
+        let t = self.targets.len();
+        debug_assert!(i < self.num_nodes, "assignment already complete");
+        debug_assert!(self.supported[i * t + k as usize]);
+        if prefix.last() != Some(&k) {
+            // Close the open stage (energy + transfer become committed)…
+            if let Some(&prev) = prefix.last() {
+                q.energy += self.power_w[prev as usize] * q.stage_time;
+                if q.open_bytes > 0 {
+                    q.transfer += self.interconnect.transfer_secs(q.open_bytes);
+                }
+                q.stage_time = 0.0;
+                q.open_bytes = 0;
+            }
+            // …and open a new one: launch-if-first-use, then sync.
+            q.open_start = i as u32;
+            let e = self.engine_of[k as usize];
+            if q.launched & (1 << e) == 0 {
+                q.launched |= 1 << e;
+                q.overhead += self.launch_secs[e];
+            }
+            q.overhead += self.sync_secs;
+        }
+        let term = self.term[i * t + k as usize];
+        q.ops_sum += term;
+        q.stage_time += term;
+        // Inputs from closed stages on another engine feed bytes into the
+        // open stage (producer stage dtype sizes the tensor, as in
+        // `Schedule::cross_engine_bytes`).
+        let my_engine = self.engine_of[k as usize];
+        for &u in &self.inputs[i] {
+            if u < q.open_start {
+                let pt = prefix[u as usize] as usize;
+                if self.engine_of[pt] != my_engine {
+                    q.open_bytes += self.out_bytes[u as usize * t + pt];
+                }
+            }
         }
     }
 
@@ -301,54 +364,38 @@ impl CostModel {
     /// Debug-asserts the target supports the node and the prefix is not
     /// already complete.
     pub fn extend_in_place(&self, p: &mut PartialAssign, k: u8) {
-        let i = p.assign.len();
-        debug_assert!(i < self.num_nodes, "assignment already complete");
-        debug_assert!(self.supported[i * self.targets.len() + k as usize]);
-        if p.stage_target.last() != Some(&k) {
-            // Close the open stage (energy + transfer become committed)…
-            if let Some(&prev) = p.stage_target.last() {
-                p.energy += self.power_w[prev as usize] * p.stage_time;
-                if p.open_bytes > 0 {
-                    p.transfer += self.interconnect.transfer_secs(p.open_bytes);
-                }
-                p.stage_time = 0.0;
-                p.open_bytes = 0;
-            }
-            // …and open a new one: launch-if-first-use, then sync.
-            p.stage_target.push(k);
-            let e = self.engine_of[k as usize];
-            if p.launched & (1 << e) == 0 {
-                p.launched |= 1 << e;
-                p.overhead += self.launch_secs[e];
-            }
-            p.overhead += self.sync_secs;
-        }
-        let si = (p.stage_target.len() - 1) as u32;
-        p.stage_of.push(si);
+        self.step(&mut p.acc, &p.assign, k);
         p.assign.push(k);
-        let term = self.term[i * self.targets.len() + k as usize];
-        p.ops_sum += term;
-        p.stage_time += term;
-        // Cross-engine inputs feed bytes into the open stage (producer
-        // stage dtype sizes the tensor, as in `Schedule::cross_engine_bytes`).
-        let my_engine = self.engine_of[k as usize];
-        for &u in &self.inputs[i] {
-            let ps = p.stage_of[u as usize];
-            if ps != si {
-                let pt = p.stage_target[ps as usize];
-                if self.engine_of[pt as usize] != my_engine {
-                    p.open_bytes += self.out_bytes[u as usize * self.targets.len() + pt as usize];
-                }
-            }
-        }
     }
 
-    /// Clone-and-extend: the beam-search expansion step.
+    /// Clone-and-extend: materializes one child of `p`.
     #[must_use]
     pub fn extend(&self, p: &PartialAssign, k: u8) -> PartialAssign {
         let mut q = p.clone();
         self.extend_in_place(&mut q, k);
         q
+    }
+
+    /// The objective's lower bound of `extend(p, k)` —
+    /// [`CostModel::bound_energy`] when `energy_objective`, else
+    /// [`CostModel::bound_latency`] — without building the extension.
+    /// Same operands in the same order, so the value is bit-equal; the
+    /// cost is O(fan-in) instead of a copy of the prefix.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts the target supports the node and the prefix is not
+    /// already complete.
+    #[must_use]
+    pub fn peek_bound(&self, p: &PartialAssign, k: u8, energy_objective: bool) -> f64 {
+        let mut q = p.acc;
+        self.step(&mut q, &p.assign, k);
+        let len = p.assign.len() + 1;
+        if energy_objective {
+            self.energy_bound_of(&q, len, Some(k))
+        } else {
+            self.latency_bound_of(&q, len)
+        }
     }
 
     /// Completes a full assignment's scores.
@@ -363,17 +410,21 @@ impl CostModel {
     #[must_use]
     pub fn finish(&self, p: &PartialAssign) -> SearchScore {
         debug_assert_eq!(p.assign.len(), self.num_nodes, "assignment incomplete");
-        let mut transfer = p.transfer;
-        let mut energy = p.energy;
-        if let Some(&t) = p.stage_target.last() {
-            energy += self.power_w[t as usize] * p.stage_time;
-            if p.open_bytes > 0 {
-                transfer += self.interconnect.transfer_secs(p.open_bytes);
+        self.finish_accum(&p.acc, p.assign.last().copied())
+    }
+
+    fn finish_accum(&self, a: &Accum, open_target: Option<u8>) -> SearchScore {
+        let mut transfer = a.transfer;
+        let mut energy = a.energy;
+        if let Some(t) = open_target {
+            energy += self.power_w[t as usize] * a.stage_time;
+            if a.open_bytes > 0 {
+                transfer += self.interconnect.transfer_secs(a.open_bytes);
             }
         }
         // Matches `sample_secs(1.0, 1)` fold order:
         //   Σ ops  +  transfer_secs  +  overhead_secs.
-        SearchScore { latency_secs: (p.ops_sum + transfer) + p.overhead, energy_j: energy }
+        SearchScore { latency_secs: (a.ops_sum + transfer) + a.overhead, energy_j: energy }
     }
 
     /// Admissible latency lower bound for any completion of `p`:
@@ -385,12 +436,16 @@ impl CostModel {
     /// slack applied at the comparison site.
     #[must_use]
     pub fn bound_latency(&self, p: &PartialAssign) -> f64 {
-        let open_transfer = if p.open_bytes > 0 {
-            self.interconnect.transfer_secs(p.open_bytes)
+        self.latency_bound_of(&p.acc, p.assign.len())
+    }
+
+    fn latency_bound_of(&self, a: &Accum, len: usize) -> f64 {
+        let open_transfer = if a.open_bytes > 0 {
+            self.interconnect.transfer_secs(a.open_bytes)
         } else {
             0.0
         };
-        p.ops_sum + p.transfer + p.overhead + open_transfer + self.suffix_term[p.assign.len()]
+        a.ops_sum + a.transfer + a.overhead + open_transfer + self.suffix_term[len]
     }
 
     /// Admissible energy lower bound: committed stage energy (the open
@@ -398,23 +453,25 @@ impl CostModel {
     /// supported `power · term`.
     #[must_use]
     pub fn bound_energy(&self, p: &PartialAssign) -> f64 {
-        let open = p
-            .stage_target
-            .last()
-            .map_or(0.0, |&t| self.power_w[t as usize] * p.stage_time);
-        p.energy + open + self.suffix_energy[p.assign.len()]
+        self.energy_bound_of(&p.acc, p.assign.len(), p.assign.last().copied())
+    }
+
+    fn energy_bound_of(&self, a: &Accum, len: usize, open_target: Option<u8>) -> f64 {
+        let open = open_target.map_or(0.0, |t| self.power_w[t as usize] * a.stage_time);
+        a.energy + open + self.suffix_energy[len]
     }
 
     /// Greedily completes a prefix: each remaining node takes the
     /// supported target minimizing the objective's lower bound after the
-    /// extension (lowest target index on ties — deterministic). Used by
-    /// the tuner's rollout step to obtain early incumbents that tighten
-    /// pruning; the completion's score is still evaluated exactly.
+    /// extension (lowest target index on ties — deterministic), scored
+    /// with [`CostModel::peek_bound`] so only the chosen extension is
+    /// built. Used by the tuner's rollout step to obtain early incumbents
+    /// that tighten pruning; the completion's score is still evaluated
+    /// exactly. The completion is a pure function of the prefix.
     #[must_use]
     pub fn greedy_complete(&self, p: &PartialAssign, energy_objective: bool) -> PartialAssign {
         let t = self.targets.len();
         let mut q = p.clone();
-        let mut scratch = q.clone();
         for i in q.assign.len()..self.num_nodes {
             let mut best_k = u8::MAX;
             let mut best_bound = f64::INFINITY;
@@ -422,13 +479,7 @@ impl CostModel {
                 if !self.supported[i * t + k] {
                     continue;
                 }
-                scratch.clone_from(&q);
-                self.extend_in_place(&mut scratch, k as u8);
-                let bound = if energy_objective {
-                    self.bound_energy(&scratch)
-                } else {
-                    self.bound_latency(&scratch)
-                };
+                let bound = self.peek_bound(&q, k as u8, energy_objective);
                 if bound < best_bound {
                     best_bound = bound;
                     best_k = k as u8;
@@ -441,112 +492,48 @@ impl CostModel {
 
     /// Scores one complete assignment through the scalar incremental
     /// path (the K=1 baseline the batched evaluator is compared against).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assignment's length differs from the node count.
     #[must_use]
     pub fn evaluate(&self, assign: &[u8]) -> SearchScore {
-        let mut p = self.root();
-        for &k in assign {
-            self.extend_in_place(&mut p, k);
+        assert_eq!(assign.len(), self.num_nodes, "assignment length != node count");
+        let mut a = self.root_accum();
+        for (i, &k) in assign.iter().enumerate() {
+            self.step(&mut a, &assign[..i], k);
         }
-        self.finish(&p)
+        self.finish_accum(&a, assign.last().copied())
     }
 
     /// Scores up to [`MAX_LANES`] complete assignments per pass,
     /// node-major across the lanes so the per-node cost-table row and
-    /// adjacency list are fetched once for all lanes. Lane state lives
-    /// in fixed struct-of-arrays accumulators — no per-lane
-    /// [`PartialAssign`] vectors to grow, no heap traffic in the walk —
-    /// which is what makes the K=8 pass faster than eight scalar
-    /// [`CostModel::evaluate`] calls. Per-lane arithmetic is identical
-    /// to the scalar path (same operands, same operation order), so
-    /// results are bit-equal lane by lane.
+    /// adjacency list are fetched once for all lanes. Lane state is a
+    /// fixed array of scalar accumulators, and each lane's own
+    /// assignment doubles as its stage table — no per-lane vectors, no
+    /// heap traffic in the walk. Per-lane arithmetic is the scalar
+    /// path's (same operands, same operation order), so results are
+    /// bit-equal lane by lane.
     ///
     /// # Panics
     ///
     /// Panics if more than [`MAX_LANES`] lanes are passed or a lane's
     /// length differs from the node count.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn evaluate_batch(&self, lanes: &[&[u8]]) -> Vec<SearchScore> {
         assert!(lanes.len() <= MAX_LANES, "at most {MAX_LANES} lanes per pass");
         for lane in lanes {
             assert_eq!(lane.len(), self.num_nodes, "lane length != node count");
         }
-        let n = self.num_nodes;
-        let t = self.targets.len();
-        // Per-lane accumulators, mirroring `PartialAssign` field by
-        // field. `u8::MAX` marks "no open stage" (target sets are ≤ 32).
-        let mut ops_sum = [0.0f64; MAX_LANES];
-        let mut transfer = [0.0f64; MAX_LANES];
-        let mut overhead = [0.0f64; MAX_LANES];
-        let mut stage_time = [0.0f64; MAX_LANES];
-        let mut energy = [0.0f64; MAX_LANES];
-        let mut open_bytes = [0u64; MAX_LANES];
-        let mut launched = [0u64; MAX_LANES];
-        let mut cur_target = [u8::MAX; MAX_LANES];
-        let mut stage_count = [0u32; MAX_LANES];
-        overhead[..lanes.len()].fill(self.query_secs);
-        // Flat (lane, node) → stage index and (lane, stage) → target
-        // tables; stages never outnumber nodes.
-        let mut stage_of = vec![0u32; lanes.len() * n];
-        let mut stage_target = vec![0u8; lanes.len() * n];
-        for i in 0..n {
-            let row = i * t;
-            let inputs = &self.inputs[i];
-            for (l, lane) in lanes.iter().enumerate() {
-                let k = lane[i];
-                debug_assert!(self.supported[row + k as usize]);
-                if cur_target[l] != k {
-                    // Close the open stage (energy + transfer commit)…
-                    if cur_target[l] != u8::MAX {
-                        energy[l] += self.power_w[cur_target[l] as usize] * stage_time[l];
-                        if open_bytes[l] > 0 {
-                            transfer[l] += self.interconnect.transfer_secs(open_bytes[l]);
-                        }
-                        stage_time[l] = 0.0;
-                        open_bytes[l] = 0;
-                    }
-                    // …and open a new one: launch-if-first-use, then sync.
-                    stage_target[l * n + stage_count[l] as usize] = k;
-                    stage_count[l] += 1;
-                    let e = self.engine_of[k as usize];
-                    if launched[l] & (1 << e) == 0 {
-                        launched[l] |= 1 << e;
-                        overhead[l] += self.launch_secs[e];
-                    }
-                    overhead[l] += self.sync_secs;
-                    cur_target[l] = k;
-                }
-                let si = stage_count[l] - 1;
-                stage_of[l * n + i] = si;
-                let term = self.term[row + k as usize];
-                ops_sum[l] += term;
-                stage_time[l] += term;
-                let my_engine = self.engine_of[k as usize];
-                for &u in inputs {
-                    let ps = stage_of[l * n + u as usize];
-                    if ps != si {
-                        let pt = stage_target[l * n + ps as usize];
-                        if self.engine_of[pt as usize] != my_engine {
-                            open_bytes[l] += self.out_bytes[u as usize * t + pt as usize];
-                        }
-                    }
-                }
+        let mut acc = [self.root_accum(); MAX_LANES];
+        for i in 0..self.num_nodes {
+            for (a, lane) in acc.iter_mut().zip(lanes) {
+                self.step(a, &lane[..i], lane[i]);
             }
         }
-        (0..lanes.len())
-            .map(|l| {
-                // Same close-out as `finish`: the open stage's energy and
-                // transfer, then the `sample_secs(1.0, 1)` fold order.
-                let mut tr = transfer[l];
-                let mut en = energy[l];
-                if cur_target[l] != u8::MAX {
-                    en += self.power_w[cur_target[l] as usize] * stage_time[l];
-                    if open_bytes[l] > 0 {
-                        tr += self.interconnect.transfer_secs(open_bytes[l]);
-                    }
-                }
-                SearchScore { latency_secs: (ops_sum[l] + tr) + overhead[l], energy_j: en }
-            })
+        acc.iter()
+            .zip(lanes)
+            .map(|(a, lane)| self.finish_accum(a, lane.last().copied()))
             .collect()
     }
 
@@ -744,5 +731,71 @@ mod tests {
             schedule.validate(&graph).expect("induced schedule is valid");
             assert_eq!(model.assignment_of(&schedule), Some(assign));
         }
+    }
+
+    /// MobileBERT on Exynos 2100 over its three engines: 798 nodes whose
+    /// attention and residual ops read several inputs, so random
+    /// assignments put many multi-input nodes downstream of closed
+    /// stages on other engines.
+    fn mobilebert_setup() -> (Soc, Graph, Vec<SearchTarget>) {
+        let soc = ChipId::Exynos2100.build();
+        let graph = ModelId::MobileBert.build();
+        let npu = soc.engine_of_kind(EngineKind::Npu).unwrap();
+        let gpu = soc.engine_of_kind(EngineKind::Gpu).unwrap();
+        let targets = vec![
+            SearchTarget { engine: npu, dtype: DataType::U8 },
+            SearchTarget { engine: gpu, dtype: DataType::F16 },
+            SearchTarget { engine: soc.cpu(), dtype: DataType::F32 },
+        ];
+        (soc, graph, targets)
+    }
+
+    #[test]
+    fn evaluators_match_executor_on_a_multi_input_graph() {
+        let (soc, graph, targets) = mobilebert_setup();
+        assert_eq!(graph.len(), 798);
+        assert!(graph.iter().filter(|nd| nd.inputs.len() > 1).count() > 100);
+        let model = CostModel::new(&soc, &graph, &targets, 10.0, 190.0);
+        let assigns = random_assignments(&model, MAX_LANES, 0xbe27_5eed);
+        let lanes: Vec<&[u8]> = assigns.iter().map(Vec::as_slice).collect();
+        let batch = model.evaluate_batch(&lanes);
+        for (assign, got) in assigns.iter().zip(&batch) {
+            let schedule = model.schedule(assign);
+            let canon_lat = estimate_query_secs(&soc, &graph, &schedule);
+            let canon_j = active_energy_j(&soc, &graph, &schedule);
+            let scalar = model.evaluate(assign);
+            assert_eq!(scalar.latency_secs.to_bits(), canon_lat.to_bits(), "scalar latency");
+            assert_eq!(scalar.energy_j.to_bits(), canon_j.to_bits(), "scalar energy");
+            assert_eq!(got.latency_secs.to_bits(), canon_lat.to_bits(), "batched latency");
+            assert_eq!(got.energy_j.to_bits(), canon_j.to_bits(), "batched energy");
+        }
+    }
+
+    #[test]
+    fn peek_bound_matches_the_built_extension_on_a_multi_input_graph() {
+        let (soc, graph, targets) = mobilebert_setup();
+        let model = CostModel::new(&soc, &graph, &targets, 10.0, 190.0);
+        let assign = &random_assignments(&model, 1, 0x9ee6_b0d5)[0];
+        let mut p = model.root();
+        for (i, &next) in assign.iter().enumerate() {
+            for k in 0..targets.len() {
+                if !model.is_supported(i, k) {
+                    continue;
+                }
+                let q = model.extend(&p, k as u8);
+                assert_eq!(
+                    model.peek_bound(&p, k as u8, false).to_bits(),
+                    model.bound_latency(&q).to_bits(),
+                    "latency bound of node {i} on target {k}"
+                );
+                assert_eq!(
+                    model.peek_bound(&p, k as u8, true).to_bits(),
+                    model.bound_energy(&q).to_bits(),
+                    "energy bound of node {i} on target {k}"
+                );
+            }
+            model.extend_in_place(&mut p, next);
+        }
+        assert_eq!(model.finish(&p), model.evaluate(assign));
     }
 }
